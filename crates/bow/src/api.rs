@@ -471,6 +471,17 @@ impl RunRequest {
                 } else {
                     None
                 };
+                // Same pass order as `experiment::prepare_kernel`: the
+                // barrier lowering runs on the annotated kernel and before
+                // control-bit emission.
+                if self.config.gpu.divergence == DivergenceModel::Barrier {
+                    kernel = bow_compiler::lower_to_barriers(&kernel).map_err(|e| {
+                        BowError::verify(format!(
+                            "barrier lowering rejected `{}`: {e}",
+                            kernel.name
+                        ))
+                    })?;
+                }
                 if self.config.gpu.core_model == CoreModelKind::Modern {
                     kernel =
                         bow_compiler::emit_ctrl(&kernel, &bow_compiler::CtrlLatencies::default());
@@ -478,13 +489,10 @@ impl RunRequest {
                 let mut gpu_cfg = self.config.gpu.clone();
                 gpu_cfg.oracle_check = OracleCheck::Memory;
                 let mut gpu = Gpu::new(gpu_cfg);
-                let params: Vec<u32> = (0..kernel.param_words)
-                    .map(|i| 0x10_0000 + u32::from(i) * 0x1_0000)
-                    .collect();
                 let result = gpu.launch(
                     &kernel,
                     bow_isa::KernelDims::linear(dims.0, dims.1),
-                    &params,
+                    &inline_params(&kernel),
                 );
                 Ok(RunRecord {
                     label: self.config.label.clone(),
@@ -498,6 +506,14 @@ impl RunRequest {
             }
         }
     }
+}
+
+/// The parameter block an inline kernel is launched with: one 64 KiB
+/// buffer base address per parameter word.
+fn inline_params(kernel: &bow_isa::Kernel) -> Vec<u32> {
+    (0..kernel.param_words)
+        .map(|i| 0x10_0000 + u32::from(i) * 0x1_0000)
+        .collect()
 }
 
 impl SweepRequest {
@@ -732,6 +748,101 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = req(r#"{"kernel": {"asm": ".kernel k\n    mov r0, 8\n    exit\n"}}"#).unwrap();
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    /// A kernel whose lanes leave a loop after different trip counts
+    /// (`tid % 4`) and reconverge at the `sync`, as assembly text.
+    fn divergent_asm() -> String {
+        use bow_isa::{CmpOp, KernelBuilder, Operand, Pred, Reg, Special};
+        let r = Reg::r;
+        KernelBuilder::new("diverge")
+            .param_words(1)
+            .s2r(r(0), Special::TidX)
+            .and(r(1), r(0).into(), Operand::Imm(3))
+            .mov_imm(r(2), 0)
+            .mov_imm(r(5), 1)
+            .ssy("done")
+            .label("loop")
+            .isetp(CmpOp::Ge, Pred::p(0), r(2).into(), r(1).into())
+            .bra_if(Pred::p(0), false, "done")
+            .iadd(r(5), r(5).into(), r(5).into())
+            .iadd(r(2), r(2).into(), Operand::Imm(1))
+            .bra("loop")
+            .label("done")
+            .sync()
+            .shl(r(3), r(0).into(), Operand::Imm(2))
+            .ldc(r(4), 0)
+            .iadd(r(4), r(4).into(), r(3).into())
+            .stg(r(4), 0, r(5).into())
+            .exit()
+            .build()
+            .expect("divergent kernel builds")
+            .disassemble()
+    }
+
+    fn inline_req(asm: &str, config: &str) -> RunRequest {
+        let body = Json::obj([
+            (
+                "kernel",
+                Json::obj([("asm", Json::from(asm)), ("threads", Json::from(64u64))]),
+            ),
+            ("config", parse(config).expect("test config is valid JSON")),
+        ]);
+        RunRequest::from_json(&body).expect("inline request parses")
+    }
+
+    #[test]
+    fn inline_barrier_requests_run_the_lowered_kernel() {
+        let r = inline_req(&divergent_asm(), r#"{"divergence": "barrier"}"#);
+        let KernelSpec::Inline { kernel, dims } = &r.kernel else {
+            panic!("inline request");
+        };
+        let direct = |k: &bow_isa::Kernel| {
+            let mut gpu = Gpu::new(r.config.gpu.clone());
+            let dims = bow_isa::KernelDims::linear(dims.0, dims.1);
+            gpu.launch(k, dims, &inline_params(k)).stats.fingerprint()
+        };
+        let lowered = bow_compiler::lower_to_barriers(kernel).expect("kernel lowers");
+        let got = r.execute().expect("inline run").outcome.result.stats;
+        assert_eq!(got.fingerprint(), direct(&lowered));
+    }
+
+    #[test]
+    fn inline_barrier_requests_fail_when_the_lowering_refuses() {
+        // Nine nested `ssy` regions run on the SIMT stack but need more
+        // convergence barriers than exist, so `barrier` must reject the
+        // kernel with a typed error instead of running it unlowered.
+        let mut b = bow_isa::KernelBuilder::new("deep");
+        for d in 0..=bow_isa::NUM_CBARS {
+            b = b.ssy(format!("l{d}"));
+        }
+        for d in (0..=bow_isa::NUM_CBARS).rev() {
+            b = b.label(format!("l{d}")).sync();
+        }
+        let asm = b.exit().build().expect("deep kernel builds").disassemble();
+        let stack = inline_req(&asm, r#"{"divergence": "stack"}"#);
+        assert!(stack.execute().expect("stack run").outcome.result.completed);
+        let e = inline_req(&asm, r#"{"divergence": "barrier"}"#)
+            .execute()
+            .expect_err("barrier lowering must refuse");
+        assert_eq!(e.kind(), "verify");
+        assert!(e.to_string().contains("convergence barriers"), "{e}");
+    }
+
+    #[test]
+    fn inline_requests_keep_the_analyzer() {
+        let inline = inline_req(
+            &divergent_asm(),
+            r#"{"collector": "bow", "analyzer": [2, 3]}"#,
+        );
+        let workload = req(r#"{"kernel": {"workload": "vectoradd"},
+                               "config": {"collector": "bow", "analyzer": [2, 3]}}"#)
+        .unwrap();
+        for r in [inline, workload] {
+            let windows = r.execute().expect("run").outcome.result.windows;
+            assert_eq!(windows.len(), 2);
+            assert!(windows.iter().all(|w| w.total_reads > 0));
+        }
     }
 
     #[test]

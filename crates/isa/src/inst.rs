@@ -1,6 +1,7 @@
 //! Instructions: destination kinds, memory references, predicate guards and
 //! the compiler-facing write-back hint.
 
+use crate::list::{PredList, RegList};
 use crate::opcode::Opcode;
 use crate::operand::Operand;
 use crate::reg::{Pred, Reg};
@@ -181,9 +182,19 @@ impl Instruction {
     /// the memory base register, and nothing else. RZ never appears.
     ///
     /// This is the set the operand collectors must fetch and therefore the
-    /// set the bypass statistics count.
-    pub fn src_regs(&self) -> Vec<Reg> {
-        let mut v: Vec<Reg> = self.srcs.iter().filter_map(|o| o.reg()).collect();
+    /// set the bypass statistics count. The list is inline (no heap
+    /// allocation): the scoreboard asks for it for every live warp on every
+    /// cycle. Only the first [`MAX_SRC_OPERANDS`] sources are listed; an
+    /// instruction with more fails [`validate`](Self::validate).
+    ///
+    /// [`MAX_SRC_OPERANDS`]: crate::MAX_SRC_OPERANDS
+    pub fn src_regs(&self) -> RegList {
+        let mut v = RegList::new();
+        for o in self.srcs.iter().take(crate::MAX_SRC_OPERANDS) {
+            if let Some(r) = o.reg() {
+                v.push(r);
+            }
+        }
         if let Some(m) = self.mem {
             if self.op != Opcode::Ldc && !m.base.is_zero() {
                 v.push(m.base);
@@ -195,14 +206,13 @@ impl Instruction {
     /// Like [`src_regs`](Self::src_regs) but with duplicates removed,
     /// preserving first-occurrence order. An instruction reading `r2 * r2`
     /// occupies one collector entry and performs one RF read, not two.
-    pub fn unique_src_regs(&self) -> Vec<Reg> {
-        let mut v = self.src_regs();
-        let mut seen = [false; 256];
-        v.retain(|r| {
-            let s = seen[r.index() as usize];
-            seen[r.index() as usize] = true;
-            !s
-        });
+    pub fn unique_src_regs(&self) -> RegList {
+        let mut v = RegList::new();
+        for r in self.src_regs() {
+            if !v.contains(&r) {
+                v.push(r);
+            }
+        }
         v
     }
 
@@ -211,15 +221,17 @@ impl Instruction {
         self.dst.reg()
     }
 
-    /// Predicate registers read: the guard plus any predicate data source.
-    pub fn src_preds(&self) -> Vec<Pred> {
-        let mut v = Vec::new();
+    /// Predicate registers read: the guard plus any predicate data source
+    /// (the first [`MAX_SRC_OPERANDS`](crate::MAX_SRC_OPERANDS) sources,
+    /// as for [`src_regs`](Self::src_regs)).
+    pub fn src_preds(&self) -> PredList {
+        let mut v = PredList::new();
         if let Some(g) = self.guard {
             if !g.pred.is_true_reg() {
                 v.push(g.pred);
             }
         }
-        for o in &self.srcs {
+        for o in self.srcs.iter().take(crate::MAX_SRC_OPERANDS) {
             if let Operand::Pred(p) = o {
                 if !p.is_true_reg() {
                     v.push(*p);
@@ -418,7 +430,7 @@ mod tests {
             base: Reg::r(4),
             offset: 8,
         });
-        assert_eq!(ld.src_regs(), vec![Reg::r(4)]);
+        assert_eq!(ld.src_regs()[..], [Reg::r(4)]);
         assert_eq!(ld.dst_reg(), Some(Reg::r(5)));
     }
 
@@ -436,8 +448,21 @@ mod tests {
     fn unique_src_regs_dedups() {
         let i = iadd(0, 1, 1);
         assert_eq!(i.src_regs().len(), 2);
-        assert_eq!(i.unique_src_regs(), vec![Reg::r(1)]);
+        assert_eq!(i.unique_src_regs()[..], [Reg::r(1)]);
         assert_eq!(i.rf_read_count(), 1);
+    }
+
+    #[test]
+    fn over_long_source_lists_are_truncated_not_overflowed() {
+        // `KernelBuilder::build` infers the register count from
+        // `src_regs` before validating, so an instruction pushed with
+        // `raw` and too many sources must reach `validate`'s error.
+        let mut i = iadd(0, 1, 2);
+        i.srcs = (1..=5).map(|r| Operand::Reg(Reg::r(r))).collect();
+        assert_eq!(i.src_regs().len(), crate::MAX_SRC_OPERANDS);
+        assert!(i.validate().unwrap_err().contains("source operands"));
+        let built = crate::KernelBuilder::new("k").raw(i).exit().build();
+        assert!(built.is_err());
     }
 
     #[test]
@@ -513,6 +538,6 @@ mod tests {
             pred: Pred::p(1),
             negated: false,
         });
-        assert_eq!(sel.src_preds(), vec![Pred::p(1), Pred::p(2)]);
+        assert_eq!(sel.src_preds()[..], [Pred::p(1), Pred::p(2)]);
     }
 }

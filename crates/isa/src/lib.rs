@@ -36,6 +36,7 @@ pub mod error;
 pub mod fuzz;
 pub mod inst;
 pub mod kernel;
+pub mod list;
 pub mod opcode;
 pub mod operand;
 pub mod reg;
@@ -47,6 +48,7 @@ pub use error::{AsmError, KernelError};
 pub use fuzz::FuzzKernel;
 pub use inst::{Dst, Instruction, MemRef, PredGuard, WritebackHint};
 pub use kernel::{Kernel, KernelDims};
+pub use list::{InlineList, PredList, RegList};
 pub use opcode::{CmpOp, FuClass, Opcode};
 pub use operand::{Operand, Special};
 pub use reg::{Pred, Reg};

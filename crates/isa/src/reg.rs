@@ -49,6 +49,14 @@ impl Reg {
     }
 }
 
+/// [`Reg::RZ`]: the placeholder an empty register slot holds (for
+/// example the unused tail of a [`RegList`](crate::RegList)).
+impl Default for Reg {
+    fn default() -> Self {
+        Reg::RZ
+    }
+}
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_zero() {
@@ -105,6 +113,13 @@ impl Pred {
     /// Whether this is the hardwired true predicate.
     pub fn is_true_reg(self) -> bool {
         self == Self::PT
+    }
+}
+
+/// [`Pred::PT`]: the placeholder an empty predicate slot holds.
+impl Default for Pred {
+    fn default() -> Self {
+        Pred::PT
     }
 }
 

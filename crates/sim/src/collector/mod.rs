@@ -19,7 +19,8 @@ pub mod window;
 use crate::probe::{emit, PipeEvent, Probe};
 use crate::regfile::RegFile;
 use crate::stats::{SimStats, WriteDest};
-use bow_isa::{Instruction, Reg, WritebackHint};
+use bow_isa::list::OPERAND_LIST_CAP;
+use bow_isa::{InlineList, Instruction, Reg, RegList, WritebackHint};
 use rfc::RfcCache;
 use window::WarpWindow;
 
@@ -138,10 +139,19 @@ enum OpState {
     ReadyAt(u64),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct OperandReq {
     reg: Reg,
     state: OpState,
+}
+
+impl Default for OperandReq {
+    fn default() -> Self {
+        OperandReq {
+            reg: Reg::RZ,
+            state: OpState::NeedRf,
+        }
+    }
 }
 
 impl OperandReq {
@@ -150,22 +160,21 @@ impl OperandReq {
     }
 }
 
-/// One issued instruction waiting in the collection stage.
+/// One issued instruction waiting in the collection stage. The slot holds
+/// no copy of the instruction: dispatch looks it up in the kernel by `pc`.
 #[derive(Clone, Debug)]
 pub struct Slot {
     /// Warp slot index.
     pub warp: usize,
     /// Program counter of the instruction within its kernel.
     pub pc: usize,
-    /// The instruction (cloned from the kernel).
-    pub inst: Instruction,
     /// Execution mask captured at issue.
     pub mask: u32,
     /// Per-warp dynamic sequence number.
     pub seq: u64,
     /// Cycle the instruction entered the stage.
     pub insert_cycle: u64,
-    operands: Vec<OperandReq>,
+    operands: InlineList<OperandReq, OPERAND_LIST_CAP>,
 }
 
 impl Slot {
@@ -180,6 +189,9 @@ pub struct OperandStage {
     kind: CollectorKind,
     /// Issued, not-yet-dispatched instructions, oldest first.
     slots: Vec<Slot>,
+    /// Occupied slots per warp, kept in step with `slots` so admission
+    /// and the per-warp order gate never scan the slot list.
+    per_warp: Vec<u32>,
     /// Baseline/RFC: number of OCUs in the shared pool.
     num_ocus: usize,
     /// BOW modes: per-warp bypass windows.
@@ -222,6 +234,7 @@ impl OperandStage {
         OperandStage {
             kind,
             slots: Vec::new(),
+            per_warp: vec![0; max_warps],
             num_ocus,
             windows,
             rfcs,
@@ -240,12 +253,9 @@ impl OperandStage {
         match self.kind {
             CollectorKind::Baseline | CollectorKind::Rfc { .. } => self.slots.len() < self.num_ocus,
             CollectorKind::Bow { window, .. } | CollectorKind::BowWr { window, .. } => {
-                self.slots.iter().filter(|s| s.warp == warp).count() < window as usize
+                self.per_warp[warp] < window
             }
-            CollectorKind::BowFlex { capacity } => {
-                self.slots.iter().filter(|s| s.warp == warp).count()
-                    < (capacity as usize / 3).max(2)
-            }
+            CollectorKind::BowFlex { capacity } => self.per_warp[warp] < (capacity / 3).max(2),
         }
     }
 
@@ -268,7 +278,7 @@ impl OperandStage {
         rf: &mut RegFile,
         stats: &mut SimStats,
         probe: &mut P,
-    ) -> Vec<Reg> {
+    ) -> RegList {
         self.insert_uniform(warp, pc, inst, mask, seq, cycle, rf, stats, probe, |_| {
             false
         })
@@ -292,12 +302,12 @@ impl OperandStage {
         stats: &mut SimStats,
         probe: &mut P,
         uniform: impl Fn(Reg) -> bool,
-    ) -> Vec<Reg> {
+    ) -> RegList {
         let unique = inst.unique_src_regs();
         emit(stats, probe, PipeEvent::SrcRegs(unique.len()));
 
-        let mut operands = Vec::with_capacity(unique.len());
-        let mut rf_fetches = Vec::new();
+        let mut operands = InlineList::new();
+        let mut rf_fetches = RegList::new();
         match self.kind {
             CollectorKind::Baseline => {
                 for reg in unique {
@@ -366,10 +376,10 @@ impl OperandStage {
                 }
             }
         }
+        self.per_warp[warp] += 1;
         self.slots.push(Slot {
             warp,
             pc,
-            inst: inst.clone(),
             mask,
             seq,
             insert_cycle: cycle,
@@ -442,7 +452,7 @@ impl OperandStage {
                 // logic: any number per cycle).
                 for i in 0..self.slots.len() {
                     let warp = self.slots[i].warp;
-                    for op in &mut self.slots[i].operands {
+                    for op in self.slots[i].operands.iter_mut() {
                         if op.state == OpState::WaitShared {
                             if let Some(at) = self.windows[warp].arrival_of(op.reg) {
                                 op.state = OpState::ReadyAt(at);
@@ -477,7 +487,7 @@ impl OperandStage {
                         self.windows[warp].mark_arrived(reg, arrival);
                         // Wake this warp's sharers of the same register.
                         for s in self.slots.iter_mut().filter(|s| s.warp == warp) {
-                            for o in &mut s.operands {
+                            for o in s.operands.iter_mut() {
                                 if o.reg == reg && o.state == OpState::WaitShared {
                                     o.state = OpState::ReadyAt(arrival);
                                 }
@@ -505,7 +515,9 @@ impl OperandStage {
 
     /// Removes and returns a dispatched slot.
     pub fn remove(&mut self, index: usize) -> Slot {
-        self.slots.remove(index)
+        let slot = self.slots.remove(index);
+        self.per_warp[slot.warp] -= 1;
+        slot
     }
 
     /// Read-only access to a slot.
@@ -518,17 +530,25 @@ impl OperandStage {
         self.slots.len()
     }
 
+    /// Number of slots `warp` occupies (O(1)).
+    pub fn occupied_by(&self, warp: usize) -> usize {
+        self.per_warp[warp] as usize
+    }
+
     /// The smallest (oldest) sequence number among `warp`'s occupied
     /// slots, if any. The modern core's dispatch gate uses this to keep
     /// each warp's dispatches in strict program order — the property that
     /// makes functional execution at dispatch correct independently of
     /// the compiler's control bits.
+    ///
+    /// Slots are kept oldest first and a warp's sequence numbers grow in
+    /// issue order, so its first slot holds the minimum; a warp with no
+    /// slots answers without scanning.
     pub fn min_seq_of(&self, warp: usize) -> Option<u64> {
-        self.slots
-            .iter()
-            .filter(|s| s.warp == warp)
-            .map(|s| s.seq)
-            .min()
+        if self.per_warp[warp] == 0 {
+            return None;
+        }
+        self.slots.iter().find(|s| s.warp == warp).map(|s| s.seq)
     }
 
     /// Routes a completed instruction's register result according to the
@@ -649,12 +669,8 @@ impl OperandStage {
             return;
         }
         let cap = self.kind.boc_capacity();
-        let mut busy = [false; 64];
-        for s in &self.slots {
-            busy[s.warp] = true;
-        }
-        for (w, win) in self.windows.iter().enumerate() {
-            if busy[w] {
+        for (win, &n) in self.windows.iter().zip(&self.per_warp) {
+            if n > 0 {
                 emit(
                     stats,
                     probe,

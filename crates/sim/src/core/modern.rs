@@ -261,7 +261,8 @@ impl ModernCore {
             let mut picked = std::mem::take(&mut self.picked_buf);
             for &idx in &ready {
                 let slot = self.subs[s].oc.slot(idx);
-                let (warp, seq, class) = (slot.warp, slot.seq, slot.inst.op.fu_class());
+                let (warp, seq) = (slot.warp, slot.seq);
+                let class = kernel.insts[slot.pc].op.fu_class();
                 // Strict per-warp program order: only the warp's oldest
                 // resident instruction may leave, one per cycle. This is
                 // what keeps functional execution at dispatch correct
@@ -281,14 +282,15 @@ impl ModernCore {
             // Remove highest-index first so indices stay valid.
             for &idx in picked.iter().rev() {
                 let mut slot = self.subs[s].oc.remove(idx);
+                let inst = &kernel.insts[slot.pc];
                 // Re-read the guard predicate now: the issue-time read can
                 // precede the producer's execute under tight control bits,
                 // and dispatch is where in-order execution makes the warp
                 // state current. (The divergence mask cannot have moved:
                 // control instructions wait for the collector to drain.)
-                if slot.inst.guard.is_some() {
+                if inst.guard.is_some() {
                     if let Some(warp) = ctx.warps[slot.warp].as_ref() {
-                        slot.mask = warp.guard_mask(slot.inst.guard);
+                        slot.mask = warp.guard_mask(inst.guard);
                     }
                 }
                 // The read barrier clears at dispatch: the operands are
@@ -302,6 +304,7 @@ impl ModernCore {
                 execute_and_complete(
                     ctx,
                     &mut self.completions,
+                    inst,
                     slot,
                     &mut self.values_buf,
                     global,
@@ -372,7 +375,7 @@ impl ModernCore {
                 // (their architectural writes land at dispatch). Control
                 // bits are a timing contract only; a guarded branch
                 // reading its predicate early would be a correctness bug.
-                if self.subs[sub].oc.min_seq_of(w).is_some() {
+                if self.subs[sub].oc.occupied_by(w) > 0 {
                     continue;
                 }
                 // Barriers and exits additionally wait for the warp's
@@ -406,7 +409,7 @@ impl ModernCore {
         probe: &mut P,
     ) {
         let warp = ctx.warps[w].as_mut().expect("ready warp is live");
-        let inst = kernel.insts[warp.pc].clone();
+        let inst = &kernel.insts[warp.pc];
         let seq = warp.seq;
         warp.seq += 1;
         let uid = ctx.blocks[warp.block_slot]
@@ -422,7 +425,7 @@ impl ModernCore {
                 uid,
                 pc: warp.pc,
                 active: warp.active.count_ones(),
-                inst: &inst,
+                inst,
             },
         );
 
@@ -437,7 +440,7 @@ impl ModernCore {
                     warp: w,
                     pc: ctrl_pc,
                     seq,
-                    inst: &inst,
+                    inst,
                 },
             );
             self.subs[sub]
@@ -455,12 +458,12 @@ impl ModernCore {
                 (
                     warp.guard_mask(inst.guard),
                     warp.valid & !warp.exited,
-                    exec::sync_underflows(warp, &inst),
+                    exec::sync_underflows(warp, inst),
                 )
             } else {
                 (0, 0, false)
             };
-            let outcome = exec::execute_control(warp, &inst);
+            let outcome = exec::execute_control(warp, inst);
             if P::ACTIVE {
                 let depth = (warp.stack.len() + warp.splits.len()) as u32;
                 emit(
@@ -474,7 +477,7 @@ impl ModernCore {
                         live,
                         depth,
                         sync_underflow,
-                        inst: &inst,
+                        inst,
                     },
                 );
             }
@@ -500,7 +503,7 @@ impl ModernCore {
             self.subs[sub].oc.insert_uniform(
                 w,
                 pc,
-                &inst,
+                inst,
                 mask,
                 seq,
                 cycle,
@@ -513,7 +516,7 @@ impl ModernCore {
             // result in the uniform RF; any other write to the register
             // evicts it (the value is no longer lane-invariant).
             if let Some(d) = inst.dst_reg() {
-                set_put(&mut self.uniform[w], d, is_uniform_producer(&inst));
+                set_put(&mut self.uniform[w], d, is_uniform_producer(inst));
             }
             if let Some(cb) = kernel.ctrl.get(pc) {
                 self.ctrls[w].stall = u32::from(cb.stall);
@@ -533,7 +536,7 @@ impl ModernCore {
                     warp: w,
                     pc,
                     seq,
-                    inst: &inst,
+                    inst,
                 },
             );
         }

@@ -33,7 +33,8 @@ pub struct LaunchResult {
     pub completed: bool,
     /// Race-sanitizer report (`Some` only when the config set
     /// [`GpuConfig::sanitize`] and the launch ran through
-    /// [`Gpu::launch`] with the oracle check off).
+    /// [`Gpu::launch`] with the oracle check off or in
+    /// [`OracleCheck::Memory`] mode).
     pub sanitizer: Option<SanitizerReport>,
 }
 
@@ -128,9 +129,22 @@ impl Gpu {
     /// Panics if the kernel fails validation or a block needs more warps
     /// than an SM can ever host.
     pub fn launch(&mut self, kernel: &Kernel, dims: KernelDims, params: &[u32]) -> LaunchResult {
-        if self.config.oracle_check != OracleCheck::Off {
-            return self.launch_checked(kernel, dims, params);
+        if self.config.oracle_check == OracleCheck::Off {
+            self.launch_instrumented(kernel, dims, params)
+        } else {
+            self.launch_checked(kernel, dims, params)
         }
+    }
+
+    /// The pipelined launch with the config's own subscribers (trace,
+    /// analyzer, sanitizer) attached. With none enabled the launch runs
+    /// against [`NullProbe`], the uninstrumented monomorphization.
+    fn launch_instrumented(
+        &mut self,
+        kernel: &Kernel,
+        dims: KernelDims,
+        params: &[u32],
+    ) -> LaunchResult {
         kernel
             .validate()
             .expect("kernel must validate before launch");
@@ -255,7 +269,9 @@ impl Gpu {
     /// [`OracleCheck::Lockstep`] mode every instruction's destination
     /// values are checked against the oracle's write log (panicking at the
     /// first divergence); in [`OracleCheck::Memory`] mode only the final
-    /// global-memory fingerprints are compared.
+    /// global-memory fingerprints are compared, and the pipelined launch
+    /// keeps the config's trace, analyzer and sanitizer, as in
+    /// [`launch`](Self::launch).
     fn launch_checked(
         &mut self,
         kernel: &Kernel,
@@ -283,7 +299,7 @@ impl Gpu {
             }
             result
         } else {
-            self.launch_with_probe(kernel, dims, params, &mut NullProbe)
+            self.launch_instrumented(kernel, dims, params)
         };
         if result.completed && oracle.completed {
             assert_eq!(
@@ -502,6 +518,31 @@ mod tests {
         assert_eq!(res.windows.len(), 3);
         assert!(res.windows[0].total_reads > 0);
         assert!(res.windows[2].read_rate() >= res.windows[0].read_rate());
+    }
+
+    #[test]
+    fn memory_oracle_launch_keeps_analyzer_and_sanitizer() {
+        // The memory-oracle path must attach the config's subscribers just
+        // like an unchecked launch, and leave the statistics untouched.
+        let run = |oracle_check| {
+            let mut config = GpuConfig::scaled(CollectorKind::bow(3)).with_analyzer(&[2, 3]);
+            config.sanitize = true;
+            config.oracle_check = oracle_check;
+            let mut gpu = Gpu::new(config);
+            gpu.global_mut().write_slice_f32(0x1_0000, &[1.0; 64]);
+            gpu.global_mut().write_slice_f32(0x2_0000, &[2.0; 64]);
+            gpu.launch(
+                &saxpy_kernel(),
+                KernelDims::linear(1, 64),
+                &[0x1_0000, 0x2_0000, 0],
+            )
+        };
+        let plain = run(OracleCheck::Off);
+        let checked = run(OracleCheck::Memory);
+        assert_eq!(checked.windows.len(), 2);
+        assert_eq!(checked.windows, plain.windows);
+        assert!(checked.sanitizer.is_some_and(|r| r.is_clean()));
+        assert_eq!(checked.stats.fingerprint(), plain.stats.fingerprint());
     }
 
     #[test]

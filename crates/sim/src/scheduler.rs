@@ -39,13 +39,23 @@ impl WarpScheduler {
                 Some(g) if ready.contains(&g) => g,
                 _ => *ready.iter().min_by_key(|&&w| age(w)).expect("nonempty"),
             },
+            // The smallest id above the last one served, wrapping to the
+            // smallest id overall: one scan, no sorted copy.
             SchedPolicy::Lrr => {
-                let mut sorted: Vec<usize> = ready.to_vec();
-                sorted.sort_unstable();
-                *sorted
-                    .iter()
-                    .find(|&&w| w > self.rr_last)
-                    .unwrap_or(&sorted[0])
+                let last = self.rr_last;
+                let mut lowest = usize::MAX;
+                let mut next = usize::MAX;
+                for &w in ready {
+                    lowest = lowest.min(w);
+                    if w > last {
+                        next = next.min(w);
+                    }
+                }
+                if next == usize::MAX {
+                    lowest
+                } else {
+                    next
+                }
             }
         };
         match self.policy {
@@ -109,6 +119,22 @@ mod tests {
         );
         assert_eq!(s.pick(&[0, 2, 4], age), Some(4));
         assert_eq!(s.pick(&[0, 2, 4], age), Some(0), "wraps around");
+    }
+
+    #[test]
+    fn lrr_wraps_past_the_highest_ready_id() {
+        // Unsorted ready lists: after serving the highest id the next pick
+        // wraps to the lowest, and a served id that left the ready set
+        // still anchors the rotation.
+        let mut s = WarpScheduler::new(SchedPolicy::Lrr);
+        let age = |_: usize| 0;
+        assert_eq!(s.pick(&[7, 3, 5], age), Some(3));
+        assert_eq!(s.pick(&[7, 3, 5], age), Some(5));
+        assert_eq!(s.pick(&[5, 7, 3], age), Some(7));
+        assert_eq!(s.pick(&[5, 3, 7], age), Some(3), "wraps to the lowest id");
+        assert_eq!(s.pick(&[6, 1], age), Some(6), "first id above 3");
+        assert_eq!(s.pick(&[1, 6], age), Some(1), "nothing above 6: wraps");
+        assert_eq!(s.pick(&[1], age), Some(1), "a lone warp is served again");
     }
 
     #[test]

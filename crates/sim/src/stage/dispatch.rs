@@ -5,7 +5,7 @@ use super::writeback::{Completion, CompletionQueue};
 use super::{Latches, PipelineStage, SmCtx};
 use crate::exec::{self, ExecCtx, Space};
 use crate::probe::{emit, PipeEvent, Probe};
-use bow_isa::{FuClass, Kernel};
+use bow_isa::{FuClass, Instruction, Kernel};
 use bow_mem::{bank_conflict_degree, AccessKind, GlobalAccess};
 
 /// The collect → dispatch latch: indices of collector slots whose
@@ -52,7 +52,7 @@ impl PipelineStage for DispatchStage {
         &mut self,
         ctx: &mut SmCtx,
         latches: &mut Latches,
-        _kernel: &Kernel,
+        kernel: &Kernel,
         global: &mut G,
         probe: &mut P,
     ) {
@@ -72,7 +72,7 @@ impl PipelineStage for DispatchStage {
         let ready = latches.dispatch.take_ready();
         let mut dispatched = std::mem::take(&mut self.dispatched);
         for &idx in &ready {
-            let class = ctx.oc.slot(idx).inst.op.fu_class();
+            let class = kernel.insts[ctx.oc.slot(idx).pc].op.fu_class();
             let b = &mut budget[class_idx(class)];
             if *b == 0 {
                 continue;
@@ -84,7 +84,7 @@ impl PipelineStage for DispatchStage {
         // Remove from the stage highest-index first so indices stay valid.
         for &idx in dispatched.iter().rev() {
             let slot = ctx.oc.remove(idx);
-            self.execute_slot(ctx, latches, slot, global, probe);
+            self.execute_slot(ctx, latches, kernel, slot, global, probe);
         }
         dispatched.clear();
         self.dispatched = dispatched;
@@ -96,14 +96,17 @@ impl DispatchStage {
         &mut self,
         ctx: &mut SmCtx,
         latches: &mut Latches,
+        kernel: &Kernel,
         slot: crate::collector::Slot,
         global: &mut G,
         probe: &mut P,
     ) {
-        ctx.scoreboards[slot.warp].dispatch(&slot.inst);
+        let inst = &kernel.insts[slot.pc];
+        ctx.scoreboards[slot.warp].dispatch(inst);
         execute_and_complete(
             ctx,
             &mut latches.completions,
+            inst,
             slot,
             &mut self.values_buf,
             global,
@@ -115,6 +118,7 @@ impl DispatchStage {
 /// The core-model-independent half of a dispatch: emits the `Dispatch`
 /// event, executes the slot functionally, snapshots the result for an
 /// active probe (the lockstep oracle) and schedules its completion.
+/// `inst` is the slot's instruction, `kernel.insts[slot.pc]`.
 ///
 /// The Pascal core releases its scoreboard's WAR entries before calling
 /// this; the modern core releases the slot's read barrier. Everything
@@ -122,6 +126,7 @@ impl DispatchStage {
 pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
     ctx: &mut SmCtx,
     completions: &mut CompletionQueue,
+    inst: &Instruction,
     slot: crate::collector::Slot,
     values_buf: &mut Vec<u32>,
     global: &mut G,
@@ -131,7 +136,7 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
         let wslot = slot.warp;
         let slot_pc = slot.pc;
         let oc_cycles = ctx.cycle - slot.insert_cycle;
-        let is_mem = slot.inst.op.is_memory();
+        let is_mem = inst.op.is_memory();
         emit(
             &mut ctx.stats,
             probe,
@@ -143,7 +148,7 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
                 seq: slot.seq,
                 oc_cycles,
                 is_mem,
-                inst: &slot.inst,
+                inst,
             },
         );
 
@@ -156,7 +161,7 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
             params: &ctx.params,
             block: block.info,
         };
-        let access = exec::execute_data(warp, &slot.inst, slot.mask, &mut ectx);
+        let access = exec::execute_data(warp, inst, slot.mask, &mut ectx);
 
         if P::ACTIVE {
             // Snapshot the architectural result for the lockstep oracle
@@ -165,12 +170,12 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
             let warp = ctx.warps[wslot].as_ref().expect("live warp");
             values_buf.clear();
             let mut pred_bits = 0u32;
-            if let Some(reg) = slot.inst.dst_reg() {
+            if let Some(reg) = inst.dst_reg() {
                 for lane in 0..bow_isa::WARP_SIZE {
                     values_buf.push(warp.read_reg(lane, reg));
                 }
             }
-            if let Some(p) = slot.inst.dst.pred() {
+            if let Some(p) = inst.dst.pred() {
                 for lane in 0..bow_isa::WARP_SIZE {
                     if warp.read_pred(lane, p) {
                         pred_bits |= 1 << lane;
@@ -189,8 +194,8 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
                     uid,
                     pc: slot_pc,
                     seq: slot.seq,
-                    dst_reg: slot.inst.dst_reg(),
-                    dst_pred: slot.inst.dst.pred(),
+                    dst_reg: inst.dst_reg(),
+                    dst_pred: inst.dst.pred(),
                     mask: slot.mask,
                     pred_bits,
                     values: values_buf,
@@ -211,7 +216,7 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
                                 values_buf.push(exec::operand_value(
                                     warp,
                                     lane,
-                                    slot.inst.srcs[0],
+                                    inst.srcs[0],
                                     &block.info,
                                 ));
                             }
@@ -253,7 +258,7 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
                 }
                 Space::Param => ctx.cycle + 4,
             },
-            None => ctx.cycle + u64::from(ctx.config.fu_latency(slot.inst.op.fu_class())),
+            None => ctx.cycle + u64::from(ctx.config.fu_latency(inst.op.fu_class())),
         }
         .max(ctx.cycle + 1);
 
@@ -262,9 +267,9 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
             ord: 0, // stamped by the queue
             warp: wslot,
             pc: slot_pc,
-            dst_reg: slot.inst.dst_reg(),
-            dst_pred: slot.inst.dst.pred(),
-            hint: slot.inst.hint,
+            dst_reg: inst.dst_reg(),
+            dst_pred: inst.dst.pred(),
+            hint: inst.hint,
             seq: slot.seq,
             issue_cycle: slot.insert_cycle,
             is_mem,

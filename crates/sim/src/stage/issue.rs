@@ -119,7 +119,7 @@ impl IssueStage {
 
     fn issue_one<P: Probe>(&mut self, ctx: &mut SmCtx, w: usize, kernel: &Kernel, probe: &mut P) {
         let warp = ctx.warps[w].as_mut().expect("ready warp is live");
-        let inst = kernel.insts[warp.pc].clone();
+        let inst = &kernel.insts[warp.pc];
         let seq = warp.seq;
         warp.seq += 1;
         let uid = ctx.blocks[warp.block_slot]
@@ -135,7 +135,7 @@ impl IssueStage {
                 uid,
                 pc: warp.pc,
                 active: warp.active.count_ones(),
-                inst: &inst,
+                inst,
             },
         );
 
@@ -150,7 +150,7 @@ impl IssueStage {
                     warp: w,
                     pc: ctrl_pc,
                     seq,
-                    inst: &inst,
+                    inst,
                 },
             );
             ctx.oc
@@ -160,12 +160,12 @@ impl IssueStage {
                 (
                     warp.guard_mask(inst.guard),
                     warp.valid & !warp.exited,
-                    exec::sync_underflows(warp, &inst),
+                    exec::sync_underflows(warp, inst),
                 )
             } else {
                 (0, 0, false)
             };
-            let outcome = exec::execute_control(warp, &inst);
+            let outcome = exec::execute_control(warp, inst);
             if P::ACTIVE {
                 let depth = (warp.stack.len() + warp.splits.len()) as u32;
                 emit(
@@ -179,7 +179,7 @@ impl IssueStage {
                         live,
                         depth,
                         sync_underflow,
-                        inst: &inst,
+                        inst,
                     },
                 );
             }
@@ -204,7 +204,7 @@ impl IssueStage {
             let rf_fetches = ctx.oc.insert(
                 w,
                 pc,
-                &inst,
+                inst,
                 mask,
                 seq,
                 cycle,
@@ -227,7 +227,7 @@ impl IssueStage {
                     }
                 }
             }
-            ctx.scoreboards[w].issue(&inst);
+            ctx.scoreboards[w].issue(inst);
             emit(
                 &mut ctx.stats,
                 probe,
@@ -237,7 +237,7 @@ impl IssueStage {
                     warp: w,
                     pc,
                     seq,
-                    inst: &inst,
+                    inst,
                 },
             );
         }

@@ -101,6 +101,19 @@ BOW_RESULTS_DIR=target/bench-gate \
 python3 scripts/bench_gate.py \
     results/bench_throughput.json target/bench-gate/bench_throughput.json
 
+echo "==> perfbench chip_modern_t2 correctness (golden result fingerprints)"
+# The repository benchmark (perfbench/, its own package) compares each
+# workload's modelled-result fingerprint with perfbench/golden.json and
+# re-runs the full-chip modern engine at sim_threads 1 against 2. The
+# tool takes a positive --seconds and --seed; one second buys its minimum
+# of three passes (about 15 s) without tracing. Any semantic change to
+# the simulator turns `correct` false in the last stdout line.
+PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload chip_modern_t2 --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "${PERF_LAST}" \
+    | python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' \
+    || { echo "perfbench run is not correct: ${PERF_LAST}"; exit 1; }
+
 echo "==> bow lint --all-workloads --deny-warnings"
 # Static-analysis gate: every annotated workload kernel must be free of
 # lint errors *and* warnings (advisories allowed), including the
